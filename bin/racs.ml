@@ -522,11 +522,10 @@ let cmd_check shape nx ny nz precision engine json =
     (fun (label, kernels) ->
       List.iter
         (fun shards ->
-          let mk () =
+          let ssim =
             Gpu_sim.create ~engine:`Jit ~shards ~schedule:`Seq ~fi_beta:0.1 ~n_branches:3
               ~precision Params.default room
           in
-          let ssim = mk () in
           let snx, sny, planes = Gpu_sim.slab_geometry ssim in
           let slab = { Lift.Lint.sl_nx = snx; sl_ny = sny; sl_planes = planes } in
           let plan = Gpu_sim.step_plan ssim kernels ~steps:2 in
@@ -536,7 +535,7 @@ let cmd_check shape nx ny nz precision engine json =
           lint
             (Printf.sprintf "sync %s plan, %d shard(s), halo dataflow" label shards)
             (Lift.Lint.verify_plan slab plan);
-          let aplan = Gpu_sim.overlap_plan (mk ()) kernels ~steps:2 in
+          let aplan = Gpu_sim.overlap_plan ssim kernels ~steps:2 in
           lint
             (Printf.sprintf "async %s plan, %d shard(s), structure" label shards)
             (Lift.Lint.check_async aplan);
@@ -547,19 +546,17 @@ let cmd_check shape nx ny nz precision engine json =
     plan_schemes;
   (* temporally-blocked cadences: depth-T ghost zones exchanged once per
      block, verified under the footprint dataflow checker at ~halo:T
-     (sync and overlapped), plus the fused T-step kernel's plan *)
+     (sync and overlapped) *)
   let state_bufs = [ "g1"; "v1" ] in
   List.iter
-    (fun (label, kernels_of_t) ->
+    (fun (label, kernels) ->
       List.iter
         (fun (shards, tblock) ->
-          let mk () =
+          let ssim =
             Gpu_sim.create ~engine:`Jit ~shards ~schedule:`Seq ~tblock ~fi_beta:0.1
               ~n_branches:3 ~precision Params.default room
           in
-          let ssim = mk () in
           let t = Gpu_sim.tblock ssim in
-          let kernels = kernels_of_t t in
           let snx, sny, planes = Gpu_sim.slab_geometry ssim in
           let slab = { Lift.Lint.sl_nx = snx; sl_ny = sny; sl_planes = planes } in
           lint
@@ -571,11 +568,9 @@ let cmd_check shape nx ny nz precision engine json =
             (Printf.sprintf "blocked async %s plan, %d shard(s), T=%d, halo dataflow" label
                shards t)
             (Lift.Lint.verify_async ~halo:t ~state_bufs slab
-               (Gpu_sim.overlap_plan (mk ()) kernels ~steps:(2 * t))))
+               (Gpu_sim.overlap_plan ssim kernels ~steps:(2 * t))))
         [ (2, 2); (3, 3) ])
-    (List.map (fun (label, kernels) -> (label, fun _ -> kernels)) plan_schemes
-    @ [ ("fused fi",
-         fun t -> [ Lift_acoustics.Programs.blocked_volume ~precision ~tblock:t () ]) ]);
+    plan_schemes;
   out
     "@.%d kernel report(s) unsafe, %d unproven (sanitizer-covered), %d lint error(s), %d \
      tiled conformance failure(s)%s@."
@@ -1065,12 +1060,24 @@ let emit_c_cmd =
        ~doc:"Emit a complete OpenCL .c program for the Listing 5 pipeline")
     Term.(const cmd_emit_c $ const ())
 
+(* Exit status of a misconfigured native toolchain or cache directory,
+   distinct from 1 (verification failure) and 2 (bad arguments). *)
+let exit_toolchain = 3
+
 let () =
   let default = Term.(ret (const (`Help (`Pager, None)))) in
-  exit
-    (Cmd.eval
-       (Cmd.group ~default
-          (Cmd.info "racs" ~version:"1.0.0"
-             ~doc:"Room acoustics simulations with complex boundary conditions via Lift-style code generation")
-          [ kernels_cmd; simulate_cmd; check_cmd; experiments_cmd; host_demo_cmd;
-            emit_c_cmd; tune_cmd ]))
+  let racs =
+    Cmd.group ~default
+      (Cmd.info "racs" ~version:"1.0.0"
+         ~doc:"Room acoustics simulations with complex boundary conditions via Lift-style code generation")
+      [ kernels_cmd; simulate_cmd; check_cmd; experiments_cmd; host_demo_cmd; emit_c_cmd;
+        tune_cmd ]
+  in
+  match Cmd.eval ~catch:false racs with
+  | code -> exit code
+  | exception Vgpu.Native.Toolchain_error { message; _ } ->
+      Fmt.epr "racs: %s@." message;
+      exit exit_toolchain
+  | exception e ->
+      Fmt.epr "racs: internal error, uncaught exception:@.%s@." (Printexc.to_string e);
+      exit Cmd.Exit.internal_error

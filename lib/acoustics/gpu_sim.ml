@@ -20,16 +20,15 @@
      original driver.
    - [Sharded] ([create ~shards:n]): the grid is cut into Z slabs
      ({!Shard.plan}), each slab running on its own device of a
-     {!Vgpu.Multi}.  Scalars re-resolve per shard (N, Nz, nB become the
-     local extents) and the grid/boundary buffers come from the
-     shard-local state; after the kernels of a step, adjacent shards
-     exchange the freshly written ghost planes of [next], then each
-     shard rotates locally.  Shards step concurrently through
-     {!Vgpu.Pool} — except under the [`Jit_parallel] engine, which
-     already occupies the pool inside each launch (its launch cycle is
-     exclusive, so nesting would deadlock).  The results are bit-for-bit
-     identical to the single-device run; [sync] gathers the slabs back
-     into [state].
+     {!Vgpu.Multi}.  Every shard buffer is bound once, at [create], on
+     its device.  One builder ([build_block]) turns a kernel list into
+     the host plan of one T-step block: per-device launches on buffer
+     names, the block's halo exchanges, and the rotation as per-device
+     [Swap] ops.  The plan is cached per kernel list, executed as is by
+     every schedule, and handed out unchanged by [step_plan] and
+     [overlap_plan] — so the plan [racs check] verifies is the plan that
+     runs.  The results are bit-for-bit identical to the single-device
+     run; [sync] gathers the slabs back into [state].
 
    The schemes that shard are the nbrs-driven ones (volume +
    boundary_fi / boundary_fi_mm / boundary_fd_mm).  The fused Listing-1
@@ -45,15 +44,22 @@ type engine =
   | `Native  (** compiled-C backend, loaded via [dlopen] *) ]
 
 (* How a sharded step is scheduled:
-   - [`Seq]: devices run strictly one after another on the host thread;
-   - [`Concurrent]: devices step through the domain pool (wall-clock
-     parallel), still with a per-step barrier at the halo exchange;
+   - [`Seq]: the step's plan runs op by op on the host thread;
+   - [`Concurrent]: each device's launches run through the domain pool
+     (wall-clock parallel), with a barrier at the halo exchange;
    - [`Overlap]: per-device {!Vgpu.Queue} command queues with event
      dependencies — the volume kernel splits into interior + frontier
      launches so halo exchanges overlap interior compute, and steps
      pipeline (no per-step barrier; draining happens on [sync]/[read]/
      stats access).  All three are bit-for-bit identical. *)
 type schedule = [ `Seq | `Concurrent | `Overlap ]
+
+(* One T-step block of the sharded schedule: T per-step segments and the
+   number of event ids one block signals.  Event ids are block-relative:
+   [0, events) are signalled inside the block; a negative id [e] names
+   the previous block's event [e + events].  [number] maps them to the
+   ids of a concrete block. *)
+type block = { segments : Vgpu.Multi.async_plan array; events : int }
 
 type backend =
   | Single of Vgpu.Runtime.t
@@ -65,16 +71,11 @@ type backend =
       tblock : int;  (* temporal block depth T = the shards' halo *)
       mutable bpos : int;  (* position within the current block, 0..T-1 *)
       mutable scattered : bool;  (* state has been distributed to the shards *)
-      mutable ov_eid : int;  (* next fresh overlap event id *)
-      mutable ov_inc : (int list * int list) array;
-          (* per device: events of the previous block's exchanges into its
-             (bottom, top) ghost zone — the block-start launches' waits *)
+      mutable blocks : (kernel list * bool * block) list;
+          (* cache: (kernels, split into interior/frontier) -> block plan *)
+      mutable ev_base : int;  (* first event id of the current overlapped block *)
       mutable ov_imports : (int * Vgpu.Queue.event) list;
           (* events exported by the last submit, imported by the next *)
-      mutable ov_fired : int list;  (* fired ids for deterministic replay *)
-      mutable ranged :
-        (Kernel_ast.Cast.kernel * Kernel_ast.Cast.kernel) list;
-          (* cache: volume kernel -> its goff ranged-launch variant *)
     }
 
 type t = {
@@ -95,10 +96,37 @@ let runtime_engine : engine -> Vgpu.Runtime.engine = function
   | `Jit_parallel domains -> Vgpu.Runtime.Jit_parallel { domains }
   | `Native -> Vgpu.Runtime.Native
 
+(* The read-only coefficient tables, shared across devices. *)
+let table_buffer (tables : Material.tables) name : Vgpu.Buffer.t option =
+  match name with
+  | "beta" -> Some (Vgpu.Buffer.F tables.Material.t_beta)
+  | "beta_fd" -> Some (Vgpu.Buffer.F tables.Material.t_beta_fd)
+  | "bi" -> Some (Vgpu.Buffer.F tables.Material.t_bi)
+  | "d" -> Some (Vgpu.Buffer.F tables.Material.t_d)
+  | "f" -> Some (Vgpu.Buffer.F tables.Material.t_f)
+  | "di" -> Some (Vgpu.Buffer.F tables.Material.t_di)
+  | _ -> None
+
+(* Shard-local buffers: grids and branch state from the shard's state,
+   boundary data from the shard plan. *)
+let shard_buffers (sh : Shard.shard) (ss : Shard.shard_state) =
+  [
+    ("prev", Vgpu.Buffer.F ss.Shard.prev);
+    ("curr", Vgpu.Buffer.F ss.Shard.curr);
+    ("next", Vgpu.Buffer.F ss.Shard.next);
+    ("nbrs", Vgpu.Buffer.I sh.Shard.nbrs);
+    ("bidx", Vgpu.Buffer.I sh.Shard.bidx);
+    ("material", Vgpu.Buffer.I sh.Shard.material);
+    ("g1", Vgpu.Buffer.F ss.Shard.g1);
+    ("v2", Vgpu.Buffer.F ss.Shard.vel_prev);
+    ("v1", Vgpu.Buffer.F ss.Shard.vel_next);
+  ]
+
 let create ?(engine = `Jit) ?(optimize = true) ?unroll_budget ?(fi_beta = 0.1)
     ?(materials = Material.defaults) ?(n_branches = 3) ?shards ?schedule ?(precision = Double)
     ?(tblock = 1) ?verify ?(sanitize = false) params room =
   let re = runtime_engine engine in
+  let tables = Material.tables ~n_branches materials in
   let backend =
     match shards with
     | None ->
@@ -121,30 +149,42 @@ let create ?(engine = `Jit) ?(optimize = true) ?unroll_budget ?(fi_beta = 0.1)
                  whose launches already occupy the pool exclusively *)
               match engine with `Jit_parallel _ -> `Seq | _ -> `Concurrent)
         in
+        let multi =
+          Vgpu.Multi.create ~engine:re ~optimize ?unroll_budget ~precision ?verify ~sanitize
+            ~devices ()
+        in
+        let sstates = Shard.create_states plan in
+        (* bind once: scatter fills these arrays in place and the plan's
+           Swap ops rotate the bindings, so they stay live for the run *)
+        Array.iteri
+          (fun i ss ->
+            List.iter
+              (fun (name, b) -> Vgpu.Multi.bind multi i name b)
+              (shard_buffers plan.Shard.shards.(i) ss
+              @ List.filter_map
+                  (fun n -> Option.map (fun b -> (n, b)) (table_buffer tables n))
+                  [ "beta"; "beta_fd"; "bi"; "d"; "f"; "di" ]))
+          sstates;
         Sharded
           {
-            multi =
-              Vgpu.Multi.create ~engine:re ~optimize ?unroll_budget ~precision
-                ?verify ~sanitize ~devices ();
+            multi;
             plan;
-            sstates = Shard.create_states plan;
+            sstates;
             schedule;
             (* effective block depth: Shard.plan clamps the halo to the
                thinnest slab, so re-read it from the shards *)
             tblock = plan.Shard.shards.(0).Shard.halo;
             bpos = 0;
             scattered = false;
-            ov_eid = 0;
-            ov_inc = Array.make devices ([], []);
+            blocks = [];
+            ev_base = 0;
             ov_imports = [];
-            ov_fired = [];
-            ranged = [];
           }
   in
   {
     params;
     state = State.create ~n_branches room;
-    tables = Material.tables ~n_branches materials;
+    tables;
     fi_beta;
     engine;
     precision;
@@ -176,7 +216,7 @@ let scalar_int t name =
   | _ -> failwith (Printf.sprintf "gpu_sim: unknown int scalar %s" name)
 
 (* Per-shard scalars: the grid extents become the local slab's (owned
-   planes + 2 ghosts), the boundary count becomes the shard's range. *)
+   planes + ghosts), the boundary count becomes the shard's range. *)
 let scalar_int_shard t (sh : Shard.shard) name =
   match name with
   | "Nz" -> sh.Shard.planes
@@ -192,27 +232,16 @@ let scalar_real t name =
   | "beta" -> t.fi_beta
   | _ -> failwith (Printf.sprintf "gpu_sim: unknown real scalar %s" name)
 
-let table_buffer t name : Vgpu.Buffer.t option =
-  match name with
-  | "beta" -> Some (Vgpu.Buffer.F t.tables.Material.t_beta)
-  | "beta_fd" -> Some (Vgpu.Buffer.F t.tables.Material.t_beta_fd)
-  | "bi" -> Some (Vgpu.Buffer.F t.tables.Material.t_bi)
-  | "d" -> Some (Vgpu.Buffer.F t.tables.Material.t_d)
-  | "f" -> Some (Vgpu.Buffer.F t.tables.Material.t_f)
-  | "di" -> Some (Vgpu.Buffer.F t.tables.Material.t_di)
-  | _ -> None
-
 let buffer t name : Vgpu.Buffer.t =
   let st = t.state in
   let room = st.room in
-  match table_buffer t name with
+  match table_buffer t.tables name with
   | Some b -> b
   | None -> (
       match name with
       | "prev" -> Vgpu.Buffer.F st.prev
       | "curr" -> Vgpu.Buffer.F st.curr
       | "next" -> Vgpu.Buffer.F st.next
-      | "next2" -> Vgpu.Buffer.F st.next2
       | "nbrs" -> Vgpu.Buffer.I room.Geometry.nbrs
       | "bidx" -> Vgpu.Buffer.I room.Geometry.boundary_indices
       | "material" -> Vgpu.Buffer.I room.Geometry.material
@@ -220,39 +249,6 @@ let buffer t name : Vgpu.Buffer.t =
       | "v2" -> Vgpu.Buffer.F st.vel_prev
       | "v1" -> Vgpu.Buffer.F st.vel_next
       | _ -> failwith (Printf.sprintf "gpu_sim: unknown buffer %s" name))
-
-(* Shard-local buffer resolution: grids and branch state come from the
-   shard's state, boundary data from the shard plan; the coefficient
-   tables are read-only and shared across devices. *)
-let buffer_shard t (sh : Shard.shard) (ss : Shard.shard_state) name : Vgpu.Buffer.t =
-  match table_buffer t name with
-  | Some b -> b
-  | None -> (
-      match name with
-      | "prev" -> Vgpu.Buffer.F ss.Shard.prev
-      | "curr" -> Vgpu.Buffer.F ss.Shard.curr
-      | "next" -> Vgpu.Buffer.F ss.Shard.next
-      | "next2" -> Vgpu.Buffer.F ss.Shard.next2
-      | "nbrs" -> Vgpu.Buffer.I sh.Shard.nbrs
-      | "bidx" -> Vgpu.Buffer.I sh.Shard.bidx
-      | "material" -> Vgpu.Buffer.I sh.Shard.material
-      | "g1" -> Vgpu.Buffer.F ss.Shard.g1
-      | "v2" -> Vgpu.Buffer.F ss.Shard.vel_prev
-      | "v1" -> Vgpu.Buffer.F ss.Shard.vel_next
-      | _ -> failwith (Printf.sprintf "gpu_sim: unknown buffer %s" name))
-
-(* Bind buffer params into a runtime (the state arrays rotate between
-   steps, so bindings refresh on every launch) and resolve scalars. *)
-let args_into rt ~int_scalar ~real_scalar ~buf (k : kernel) =
-  List.map
-    (fun p ->
-      match (p.p_kind, p.p_ty) with
-      | Global_buf, _ ->
-          Vgpu.Runtime.bind rt p.p_name (buf p.p_name);
-          Vgpu.Runtime.A_buf p.p_name
-      | Scalar_param, Int -> Vgpu.Runtime.A_int (int_scalar p.p_name)
-      | Scalar_param, Real -> Vgpu.Runtime.A_real (real_scalar p.p_name))
-    k.params
 
 (* Resolve the kernel's symbolic global size against a scalar
    environment.  Tiled kernels round their NDRange up to the work-group
@@ -276,22 +272,21 @@ let global_size ~int_scalar (k : kernel) =
   in
   List.map ev k.global_size
 
-let launch_on rt ~int_scalar ~real_scalar ~buf (k : kernel) =
-  let args = args_into rt ~int_scalar ~real_scalar ~buf k in
-  let global = global_size ~int_scalar k in
-  Vgpu.Runtime.run_op rt (Vgpu.Runtime.Launch { kernel = k; args; global })
+(* A launch of [k]: buffers by parameter name, scalars resolved now. *)
+let launch_op t ~int_scalar ?global (k : kernel) =
+  let global = match global with Some g -> g | None -> global_size ~int_scalar k in
+  let args =
+    List.map
+      (fun p ->
+        match (p.p_kind, p.p_ty) with
+        | Global_buf, _ -> Vgpu.Runtime.A_buf p.p_name
+        | Scalar_param, Int -> Vgpu.Runtime.A_int (int_scalar p.p_name)
+        | Scalar_param, Real -> Vgpu.Runtime.A_real (scalar_real t p.p_name))
+      k.params
+  in
+  Vgpu.Runtime.Launch { kernel = k; args; global }
 
-let launch_shard t s i (k : kernel) =
-  match s with
-  | Single _ -> invalid_arg "gpu_sim: launch_shard on a single-device backend"
-  | Sharded { multi; plan; sstates; _ } ->
-      let sh = plan.Shard.shards.(i) and ss = sstates.(i) in
-      launch_on
-        (Vgpu.Multi.device multi i)
-        ~int_scalar:(scalar_int_shard t sh) ~real_scalar:(scalar_real t)
-        ~buf:(buffer_shard t sh ss) k
-
-(* -- Overlapped scheduling ------------------------------------------ *)
+(* -- The sharded step plan ------------------------------------------- *)
 
 (* A kernel is splittable into interior/frontier ranges when it sweeps
    the full local grid: the volume kernels launch over [Var "N"].  The
@@ -299,28 +294,6 @@ let launch_shard t s i (k : kernel) =
    order behind the volume launches already orders them correctly. *)
 let splittable (k : kernel) =
   match k.global_size with [ Var "N" ] -> true | _ -> false
-
-(* A fused T-step kernel advances the leapfrog [depth] generations in
-   one launch (writing u(t+T) to [next] and u(t+T-1) to [next2]); the
-   depth is encoded in the name by {!Programs.blocked_volume}'s
-   [blocked…_t<T>] convention. *)
-let fused_kernel_depth (k : kernel) =
-  let n = k.name in
-  if String.length n >= 7 && String.sub n 0 7 = "blocked" then
-    match String.rindex_opt n '_' with
-    | Some i when i + 1 < String.length n && n.[i + 1] = 't' -> (
-        match int_of_string_opt (String.sub n (i + 2) (String.length n - i - 2)) with
-        | Some d when d >= 1 -> Some d
-        | _ -> None)
-    | _ -> None
-  else None
-
-(* The fused depth of a kernel sequence: the depth of its fused volume
-   kernel, if any.  [None] for the per-step kernel sequences. *)
-let fused_depth (kernels : kernel list) =
-  List.fold_left
-    (fun acc k -> match fused_kernel_depth k with Some d -> Some d | None -> acc)
-    None kernels
 
 (* Does the kernel sequence carry persistent per-boundary-point branch
    state (the FD-MM scheme)?  If so, a block boundary must also refresh
@@ -333,24 +306,161 @@ let uses_branch_state (kernels : kernel list) =
 
 (* The exchanges of one block boundary: the freshly written [next] at
    full depth T (it becomes [curr], whose ghosts the next block reads to
-   depth T); the previous generation ([curr], or [next2] for fused
-   kernels) at depth T-1 (it becomes [prev], read at radius 0 by writes
-   of validity up to T-1) — skipped for T ≤ 2 on the per-step cadence,
-   where the redundant in-block recompute already left it valid to depth
-   1 locally (fused kernels exchange [next2] from T = 2 up: their single
-   launch confers no recomputed ghost validity the flow verifier could
-   credit); and the ghost branch-state slices for schemes that carry
-   them.  At T = 1 this reduces to exactly the original per-step [next]
-   exchange. *)
-let block_exchange_plan (p : Shard.plan) ~tblock ~fused ~has_state : Vgpu.Multi.plan =
+   depth T); the previous generation [curr] at depth T-1 (it becomes
+   [prev], read at radius 0 by writes of validity up to T-1) — skipped
+   for T <= 2, where the redundant in-block recompute already left it
+   valid to depth 1 locally; and the ghost branch-state slices for
+   schemes that carry them.  At T = 1 this reduces to exactly the
+   original per-step [next] exchange. *)
+let block_exchange_plan (p : Shard.plan) ~tblock ~has_state : Vgpu.Multi.plan =
   Shard.exchange_ops ~depth:tblock p ~buffer:"next"
-  @ (if (if fused then tblock > 1 else tblock > 2) then
-       Shard.exchange_ops ~depth:(tblock - 1) p
-         ~buffer:(if fused then "next2" else "curr")
-     else [])
+  @ (if tblock > 2 then Shard.exchange_ops ~depth:(tblock - 1) p ~buffer:"curr" else [])
   @ (if has_state && tblock > 1 then
        Shard.state_exchange_ops p ~buffer:"g1" @ Shard.state_exchange_ops p ~buffer:"v1"
      else [])
+
+(* The per-device rotation closing every step, mirrored on the host by
+   {!Shard.rotate_state}. *)
+let rotation = [ ("prev", "curr"); ("curr", "next"); ("v2", "v1") ]
+
+let aop ?(waits = []) ?signal op = { Vgpu.Multi.a_op = op; a_waits = waits; a_signal = signal }
+
+let is_launch (o : Vgpu.Multi.async_op) =
+  match o.Vgpu.Multi.a_op with Vgpu.Multi.Dev (_, Vgpu.Runtime.Launch _) -> true | _ -> false
+
+(* Build one T-step block of [kernels] over the shards of [p]: the only
+   place sharded-step launches and exchanges are made.  Segment [bpos]
+   (0..T-1) holds, per device, the launches of every kernel in order;
+   the last segment adds the block's exchanges; every segment ends with
+   the per-device rotation Swaps.
+
+   [split] builds the overlapped form.  At the block start each
+   splittable kernel becomes its interior range first (no waits — it
+   starts immediately), then the halo-deep frontier ranges, each waiting
+   on the previous block's exchanges into the ghost zone its stencil
+   reads; a non-splittable kernel that reads [curr] ghosts (the
+   2.5D-tiled stencil), and at T >= 2 every kernel (the boundary kernels
+   read exchanged ghost branch state), carries both sides' waits itself.
+   Mid-block launches wait on nothing: per-queue FIFO order suffices.
+   At the block end each exchange runs on its source device's queue and
+   signals a fresh event; at T >= 2 it also waits on the *destination*
+   device's last launch, whose redundant ghost writes it overwrites.
+   Without [split] the launches are unsplit and carry no events. *)
+let build_block t (p : Shard.plan) ~split (kernels : kernel list) : block =
+  let n = Shard.n_shards p and tb = p.Shard.shards.(0).Shard.halo in
+  let exchanges = block_exchange_plan p ~tblock:tb ~has_state:(uses_branch_state kernels) in
+  (* event ids: at a deep block end device i's last launch signals i,
+     the k-th exchange signals n_sig + k *)
+  let dev_sigs = split && tb > 1 && n > 1 && kernels <> [] in
+  let n_sig = if dev_sigs then n else 0 in
+  let events = if split then n_sig + List.length exchanges else 0 in
+  (* per device: the previous block's exchange events into its (bottom,
+     top) ghost zone.  Grid exchanges land on one side of the slab,
+     branch-state slices order both sides. *)
+  let incs = Array.make n ([], []) in
+  List.iteri
+    (fun k -> function
+      | Vgpu.Multi.Exchange { dst_dev = j; dst; dst_off; _ } when split ->
+          let ev = n_sig + k - events and lo, hi = incs.(j) in
+          let sh = p.Shard.shards.(j) in
+          incs.(j) <-
+            (if not (List.mem dst [ "next"; "curr"; "prev" ]) then (lo @ [ ev ], hi @ [ ev ])
+             else if dst_off < sh.Shard.halo * sh.Shard.plane then (lo @ [ ev ], hi)
+             else (lo, hi @ [ ev ]))
+      | _ -> ())
+    exchanges;
+  let ranged =
+    List.map (fun k -> if split && splittable k then Some (offset_global_id k) else None) kernels
+  in
+  let segment bpos =
+    let start = bpos = 0 and last = bpos = tb - 1 in
+    let device i =
+      let sh = p.Shard.shards.(i) and lo, hi = incs.(i) in
+      let launch ?waits ?goff ?global k =
+        let int_scalar name =
+          match goff with Some g when name = "goff" -> g | _ -> scalar_int_shard t sh name
+        in
+        aop ?waits (Vgpu.Multi.Dev (i, launch_op t ~int_scalar ?global k))
+      in
+      let ops =
+        List.concat
+          (List.map2
+             (fun (k : kernel) rk ->
+               match rk with
+               | Some rk when start ->
+                   List.map
+                     (fun (kind, goff, count) ->
+                       let waits =
+                         match kind with
+                         | Shard.Interior -> []
+                         | Shard.Frontier_lo -> lo
+                         | Shard.Frontier_hi -> hi
+                         | Shard.Frontier_both -> lo @ hi
+                       in
+                       launch ~waits ~goff ~global:[ count ] rk)
+                     (Shard.split_ranges sh)
+               | _ ->
+                   let reads_ghosts = tb > 1 || List.exists (fun p -> p.p_name = "curr") k.params in
+                   [ launch ~waits:(if split && start && reads_ghosts then lo @ hi else []) k ])
+             kernels ranged)
+      in
+      let nops = List.length ops in
+      if dev_sigs && last then
+        List.mapi (fun j o -> if j = nops - 1 then { o with Vgpu.Multi.a_signal = Some i } else o) ops
+      else ops
+    in
+    let exchange k op =
+      match op with
+      | Vgpu.Multi.Exchange { dst_dev; _ } when split ->
+          aop ~waits:(if dev_sigs then [ dst_dev ] else []) ~signal:(n_sig + k) op
+      | op -> aop op
+    in
+    let devices = List.init n Fun.id in
+    List.concat_map device devices
+    @ (if last then List.mapi exchange exchanges else [])
+    @ List.concat_map
+        (fun i -> List.map (fun (a, b) -> aop (Vgpu.Multi.Dev (i, Vgpu.Runtime.Swap (a, b)))) rotation)
+        devices
+  in
+  { segments = Array.init tb segment; events }
+
+(* The cached block plan of [kernels] in the given form, built on first
+   use.  Lookup is by physical, then structural, equality of the kernel
+   list; the cache keeps the few most recent lists. *)
+let block_of t ~split (kernels : kernel list) =
+  match t.backend with
+  | Single _ -> invalid_arg "gpu_sim: the step plan needs a sharded backend"
+  | Sharded s -> (
+      let same ks =
+        List.compare_lengths ks kernels = 0 && List.for_all2 (fun a b -> a == b || a = b) ks kernels
+      in
+      match List.find_opt (fun (ks, sp, _) -> sp = split && same ks) s.blocks with
+      | Some (_, _, b) -> b
+      | None ->
+          let b = build_block t s.plan ~split kernels in
+          s.blocks <- (kernels, split, b) :: List.filteri (fun i _ -> i < 7) s.blocks;
+          b)
+
+(* A segment with its block-relative event ids made concrete for the
+   block whose first id is [base]; references to a previous block are
+   dropped when there is none. *)
+let number ~base seg =
+  List.map
+    (fun (o : Vgpu.Multi.async_op) ->
+      {
+        o with
+        Vgpu.Multi.a_waits =
+          List.filter_map (fun w -> if base + w >= 0 then Some (base + w) else None) o.a_waits;
+        a_signal = Option.map (( + ) base) o.a_signal;
+      })
+    seg
+
+(* [steps] segments from a block start, numbered as a fresh run numbers
+   them. *)
+let unrolled b ~steps =
+  let tb = Array.length b.segments in
+  List.concat_map (fun st -> number ~base:(st / tb * b.events) b.segments.(st mod tb))
+    (List.init steps Fun.id)
 
 (* Drain this simulation's device queues (no-op when none were used);
    every host-side observation of sharded state goes through here. *)
@@ -359,180 +469,10 @@ let drain t =
   | Single _ -> ()
   | Sharded s -> Vgpu.Multi.finish_async s.multi
 
-(* Build the async ops of one overlapped time step at block position
-   [bpos] (0..T-1).
-
-   Block start (bpos = 0) — per device, in queue order: the interior
-   range of each splittable kernel first (no waits — it starts
-   immediately), then the halo-deep frontier ranges, each waiting on the
-   events of the previous block's exchanges into the ghost zone its
-   stencil reads, then the unsplit boundary kernels (FIFO order after
-   the volume parts is exactly the sequential kernel order; at T ≥ 2
-   they carry both sides' waits themselves, since they read exchanged
-   ghost branch state).  Mid-block steps (0 < bpos < T-1) launch
-   full-range with no waits: per-queue FIFO already orders them after
-   the same device's previous step, and they touch no freshly exchanged
-   data.  At a block end (bpos = T-1, or every step for fused kernels)
-   the block's halo exchanges run on their source device's queue — FIFO
-   puts them after the source's writes — each waiting on the
-   *destination* device's last in-block launch when T ≥ 2 (those
-   launches redundantly write the very ghost planes the exchange
-   overwrites), and each signalling a fresh event that becomes a
-   block-start wait of the next block.  [eid] supplies fresh event ids;
-   [incs] carries each device's (bottom, top) incoming-exchange events
-   across steps and is updated in place.  Buffer params are (re)bound as
-   a side effect, as in the sequential path. *)
-let overlap_step_ops t ~(eid : int ref) ~(incs : (int list * int list) array)
-    ~(bpos : int) kernels : Vgpu.Multi.async_plan =
-  match t.backend with
-  | Single _ -> invalid_arg "gpu_sim: overlap_step_ops on a single-device backend"
-  | Sharded s ->
-      let fresh () =
-        let e = !eid in
-        incr eid;
-        e
-      in
-      let ranged k =
-        match List.find_opt (fun (src, _) -> src == k) s.ranged with
-        | Some (_, r) -> r
-        | None ->
-            let r = Kernel_ast.Cast.offset_global_id k in
-            s.ranged <- (k, r) :: s.ranged;
-            r
-      in
-      let n = Shard.n_shards s.plan in
-      let tb = s.tblock in
-      let fused = fused_depth kernels <> None in
-      let block_start = bpos = 0 in
-      let block_end = fused || bpos = tb - 1 in
-      let ops = ref [] in
-      let push op = ops := op :: !ops in
-      (* at a deep block end, the last launch of each device signals so
-         the incoming exchanges can anti-depend on its ghost writes *)
-      let last_sig = Array.make n None in
-      for i = 0 to n - 1 do
-        let sh = s.plan.Shard.shards.(i) and ss = s.sstates.(i) in
-        let rt = Vgpu.Multi.device s.multi i in
-        let dev_ops = ref [] in
-        let pushd op = dev_ops := op :: !dev_ops in
-        List.iter
-          (fun k ->
-            if block_start && splittable k then begin
-              let rk = ranged k in
-              List.iter
-                (fun (kind, off, count) ->
-                  let int_scalar name =
-                    if name = "goff" then off else scalar_int_shard t sh name
-                  in
-                  let args =
-                    args_into rt ~int_scalar ~real_scalar:(scalar_real t)
-                      ~buf:(buffer_shard t sh ss) rk
-                  in
-                  let waits =
-                    match kind with
-                    | Shard.Interior -> []
-                    | Shard.Frontier_lo -> fst incs.(i)
-                    | Shard.Frontier_hi -> snd incs.(i)
-                    | Shard.Frontier_both -> fst incs.(i) @ snd incs.(i)
-                  in
-                  pushd
-                    {
-                      Vgpu.Multi.a_op =
-                        Vgpu.Multi.Dev
-                          (i, Vgpu.Runtime.Launch { kernel = rk; args; global = [ count ] });
-                      a_waits = waits;
-                      a_signal = None;
-                    })
-                (Shard.split_ranges sh)
-            end
-            else begin
-              let int_scalar = scalar_int_shard t sh in
-              let args =
-                args_into rt ~int_scalar ~real_scalar:(scalar_real t)
-                  ~buf:(buffer_shard t sh ss) k
-              in
-              let global = global_size ~int_scalar k in
-              (* At a block start, a non-splittable volume kernel (the
-                 2.5D-tiled stencil, or a fused T-step kernel) reads the
-                 [curr] ghost planes without a frontier launch before it
-                 on this queue, so it carries the incoming-exchange waits
-                 itself; at T ≥ 2 the boundary kernels read exchanged
-                 ghost branch state and carry them too.  Mid-block
-                 launches wait on nothing — FIFO order suffices. *)
-              let waits =
-                if
-                  block_start
-                  && (tb > 1 || fused
-                     || List.exists (fun p -> p.p_name = "curr") k.params)
-                then fst incs.(i) @ snd incs.(i)
-                else []
-              in
-              pushd
-                {
-                  Vgpu.Multi.a_op =
-                    Vgpu.Multi.Dev (i, Vgpu.Runtime.Launch { kernel = k; args; global });
-                  a_waits = waits;
-                  a_signal = None;
-                }
-            end)
-          kernels;
-        let dl =
-          if block_end && tb > 1 && n > 1 then
-            match !dev_ops with
-            | last :: rest_rev ->
-                let e = fresh () in
-                last_sig.(i) <- Some e;
-                List.rev ({ last with Vgpu.Multi.a_signal = Some e } :: rest_rev)
-            | [] -> []
-          else List.rev !dev_ops
-        in
-        List.iter push dl
-      done;
-      let next_incs = Array.make n ([], []) in
-      if block_end then
-        List.iter
-          (fun op ->
-            match op with
-            | Vgpu.Multi.Exchange { dst_dev = j; dst; dst_off; _ } ->
-                let ev = fresh () in
-                push
-                  {
-                    Vgpu.Multi.a_op = op;
-                    a_waits = Option.to_list last_sig.(j);
-                    a_signal = Some ev;
-                  };
-                let dsh = s.plan.Shard.shards.(j) in
-                let lo, hi = next_incs.(j) in
-                (* grid-buffer exchanges land on one side of the slab;
-                   branch-state slices order both sides conservatively *)
-                let side =
-                  match dst with
-                  | "next" | "next2" | "curr" | "prev" ->
-                      if dst_off < dsh.Shard.halo * dsh.Shard.plane then `Lo else `Hi
-                  | _ -> `Both
-                in
-                next_incs.(j) <-
-                  (match side with
-                  | `Lo -> (lo @ [ ev ], hi)
-                  | `Hi -> (lo, hi @ [ ev ])
-                  | `Both -> (lo @ [ ev ], hi @ [ ev ]))
-            | _ -> ())
-          (block_exchange_plan s.plan ~tblock:tb ~fused
-             ~has_state:(uses_branch_state kernels));
-      Array.blit next_incs 0 incs 0 n;
-      List.rev !ops
-
-let count_launches (ops : Vgpu.Multi.async_plan) =
-  List.length
-    (List.filter
-       (fun (o : Vgpu.Multi.async_op) ->
-         match o.Vgpu.Multi.a_op with
-         | Vgpu.Multi.Dev (_, Vgpu.Runtime.Launch _) -> true
-         | _ -> false)
-       ops)
-
 (* Distribute the global state to the shards on first use, so impulses
-   added through [State.add_impulse] before the first step are seen. *)
+   added through [State.add_impulse] before the first step are seen.
+   The copy is in place: the device bindings made at [create] stay
+   valid. *)
 let ensure_scattered t =
   match t.backend with
   | Single _ -> ()
@@ -547,199 +487,85 @@ let launch t (k : kernel) =
   match t.backend with
   | Single rt ->
       t.launches <- t.launches + 1;
-      launch_on rt ~int_scalar:(scalar_int t) ~real_scalar:(scalar_real t)
-        ~buf:(buffer t) k
-  | Sharded _ ->
+      List.iter
+        (fun p -> if p.p_kind = Global_buf then Vgpu.Runtime.bind rt p.p_name (buffer t p.p_name))
+        k.params;
+      Vgpu.Runtime.run_op rt (launch_op t ~int_scalar:(scalar_int t) k)
+  | Sharded s ->
       drain t;
       ensure_scattered t;
-      let n = n_shards t in
-      for i = 0 to n - 1 do
-        launch_shard t t.backend i k
-      done;
-      t.launches <- t.launches + n
+      Array.iteri
+        (fun i sh ->
+          Vgpu.Runtime.run_op (Vgpu.Multi.device s.multi i)
+            (launch_op t ~int_scalar:(scalar_int_shard t sh) k))
+        s.plan.Shard.shards;
+      t.launches <- t.launches + n_shards t
 
-(* A fused kernel's depth must match the shards' halo depth: the block
-   exchange sources [depth] owned planes and fills [depth] ghosts. *)
-let check_fused_depth s kernels =
-  match (s, fused_depth kernels) with
-  | Sharded sh, Some d when d <> sh.tblock ->
-      invalid_arg
-        (Printf.sprintf
-           "gpu_sim: fused kernel depth %d needs ~tblock:%d (shards have halo %d)" d d
-           sh.tblock)
-  | _ -> ()
+(* Run the current segment of [kernels]' cached block plan — [`Seq]: op
+   by op; [`Concurrent]: the segment's leading launches fan out over the
+   domain pool, one task per device, then its exchanges and Swaps run on
+   the host thread; [`Overlap]: submitted to the device queues; [replay]:
+   the overlapped form on the calling domain, in the queue interleaving
+   [pick] chooses.  The host state then follows the Swaps (under
+   [`Overlap] they ran at submission) and the block position advances. *)
+let exec_step ?replay t (kernels : kernel list) =
+  match t.backend with
+  | Single _ -> invalid_arg "gpu_sim: this step needs a sharded backend"
+  | Sharded s ->
+      ensure_scattered t;
+      let b = block_of t ~split:(replay <> None || s.schedule = `Overlap) kernels in
+      let seg = number ~base:s.ev_base b.segments.(s.bpos) in
+      let run (o : Vgpu.Multi.async_op) = Vgpu.Multi.run_op s.multi o.a_op in
+      let n = Shard.n_shards s.plan in
+      (match (replay, s.schedule) with
+      | Some pick, _ ->
+          (* replay is synchronous: every earlier block's events fired *)
+          let imports =
+            List.concat_map
+              (fun (o : Vgpu.Multi.async_op) -> List.filter (fun e -> e < s.ev_base) o.a_waits)
+              seg
+          in
+          Vgpu.Multi.run_async_with ~imports ?pick s.multi seg
+      | None, `Overlap ->
+          (* only the latest block's exchange events are ever waited on,
+             so the fresh exports replace the previous step's imports *)
+          s.ov_imports <- Vgpu.Multi.submit_async ~imports:s.ov_imports s.multi seg
+      | None, `Concurrent when n > 1 ->
+          let launches, rest = List.partition is_launch seg in
+          Vgpu.Pool.run Vgpu.Pool.global ~n (fun i ->
+              List.iter
+                (fun (o : Vgpu.Multi.async_op) ->
+                  match o.a_op with Vgpu.Multi.Dev (d, _) when d = i -> run o | _ -> ())
+                launches);
+          List.iter run rest
+      | None, (`Seq | `Concurrent) -> List.iter run seg);
+      t.launches <- t.launches + List.length (List.filter is_launch seg);
+      Array.iter Shard.rotate_state s.sstates;
+      s.bpos <- (s.bpos + 1) mod s.tblock;
+      if s.bpos = 0 then s.ev_base <- s.ev_base + b.events
 
-(* One time step: run each kernel in order, then rotate the buffers.
-   Sharded: kernels per shard ([`Concurrent]: through the domain pool;
-   [`Overlap]: submitted to the per-device command queues without a
-   per-step barrier, steps pipelining through the event graph); at a
-   block boundary (every step at T = 1), halo-exchange the deep ghost
-   zones; rotate each shard every step.  A fused T-step kernel advances
-   T generations per call: every call is a whole block, and the rotation
-   is the four-buffer fused rotation. *)
+(* One time step: run each kernel in order, then rotate the buffers. *)
 let step t (kernels : kernel list) =
   match t.backend with
   | Single _ ->
       List.iter (launch t) kernels;
-      if fused_depth kernels <> None then State.rotate_fused t.state
-      else State.rotate t.state
-  | Sharded s ->
-      check_fused_depth t.backend kernels;
-      ensure_scattered t;
-      let n = Shard.n_shards s.plan in
-      let fused = fused_depth kernels <> None in
-      let block_end = fused || s.bpos = s.tblock - 1 in
-      (match s.schedule with
-      | `Overlap ->
-          let eid = ref s.ov_eid in
-          let ops = overlap_step_ops t ~eid ~incs:s.ov_inc ~bpos:s.bpos kernels in
-          s.ov_eid <- !eid;
-          (* only the latest exchange events are ever waited on, so the
-             fresh exports replace the previous step's imports *)
-          s.ov_imports <- Vgpu.Multi.submit_async ~imports:s.ov_imports s.multi ops;
-          t.launches <- t.launches + count_launches ops
-      | (`Seq | `Concurrent) as sched ->
-          let run_shard i = List.iter (launch_shard t t.backend i) kernels in
-          if sched = `Concurrent && n > 1 then Vgpu.Pool.run Vgpu.Pool.global ~n run_shard
-          else
-            for i = 0 to n - 1 do
-              run_shard i
-            done;
-          t.launches <- t.launches + (n * List.length kernels);
-          if block_end then begin
-            Array.iteri
-              (fun i (ss : Shard.shard_state) ->
-                Vgpu.Multi.bind s.multi i "next" (Vgpu.Buffer.F ss.Shard.next);
-                Vgpu.Multi.bind s.multi i "next2" (Vgpu.Buffer.F ss.Shard.next2);
-                Vgpu.Multi.bind s.multi i "curr" (Vgpu.Buffer.F ss.Shard.curr);
-                Vgpu.Multi.bind s.multi i "g1" (Vgpu.Buffer.F ss.Shard.g1);
-                Vgpu.Multi.bind s.multi i "v1" (Vgpu.Buffer.F ss.Shard.vel_next))
-              s.sstates;
-            Vgpu.Multi.run s.multi
-              (block_exchange_plan s.plan ~tblock:s.tblock ~fused
-                 ~has_state:(uses_branch_state kernels))
-          end);
-      (* host-side rotation is safe while commands are still queued:
-         every queued op resolved its buffers at submission *)
-      if fused then Array.iter Shard.rotate_state_fused s.sstates
-      else Array.iter Shard.rotate_state s.sstates;
-      s.bpos <- (if fused then 0 else (s.bpos + 1) mod s.tblock)
+      State.rotate t.state
+  | Sharded _ -> exec_step t kernels
 
 (* One overlapped time step replayed deterministically on the calling
-   domain: the same event graph as [`Overlap], executed in the legal
-   queue interleaving chosen by [pick] (see
-   {!Vgpu.Multi.run_async_with}).  Works with sanitizers; independent of
-   the simulation's configured schedule (do not mix with [`Overlap]
-   steps on the same simulation). *)
-let step_overlap_with ?pick t (kernels : kernel list) =
-  match t.backend with
-  | Single _ -> invalid_arg "gpu_sim: step_overlap_with needs a sharded backend"
-  | Sharded s ->
-      check_fused_depth t.backend kernels;
-      ensure_scattered t;
-      let fused = fused_depth kernels <> None in
-      let eid = ref s.ov_eid in
-      let ops = overlap_step_ops t ~eid ~incs:s.ov_inc ~bpos:s.bpos kernels in
-      s.ov_eid <- !eid;
-      Vgpu.Multi.run_async_with ~imports:s.ov_fired ?pick s.multi ops;
-      s.ov_fired <-
-        List.filter_map (fun (o : Vgpu.Multi.async_op) -> o.Vgpu.Multi.a_signal) ops
-        @ s.ov_fired;
-      t.launches <- t.launches + count_launches ops;
-      if fused then Array.iter Shard.rotate_state_fused s.sstates
-      else Array.iter Shard.rotate_state s.sstates;
-      s.bpos <- (if fused then 0 else (s.bpos + 1) mod s.tblock)
+   domain, whatever the configured schedule; works with sanitizers (do
+   not mix with [`Overlap] steps on the same simulation). *)
+let step_overlap_with ?pick t kernels = exec_step ~replay:pick t kernels
 
-(* The async plan of [steps] overlapped time steps, for static analysis
-   ({!Lift.Lint.check_async} via [racs check]).  Buffer rotation appears
-   as explicit per-device [Swap] pairs so a linter can track buffer
-   identities across steps; the runtime path instead rotates host-side.
-   Does not consume the simulation's event-id state (ids start at 0), so
-   build it on a dedicated simulation rather than mid-run. *)
-let overlap_plan t (kernels : kernel list) ~steps : Vgpu.Multi.async_plan =
-  match t.backend with
-  | Single _ -> invalid_arg "gpu_sim: overlap_plan needs a sharded backend"
-  | Sharded s ->
-      check_fused_depth t.backend kernels;
-      let n = Shard.n_shards s.plan in
-      let fused = fused_depth kernels <> None in
-      let eid = ref 0 and incs = Array.make n ([], []) in
-      let acc = ref [] in
-      let aswap i (a, b) =
-        {
-          Vgpu.Multi.a_op = Vgpu.Multi.Dev (i, Vgpu.Runtime.Swap (a, b));
-          a_waits = [];
-          a_signal = None;
-        }
-      in
-      for st = 0 to steps - 1 do
-        let bpos = if fused then 0 else st mod s.tblock in
-        let ops = overlap_step_ops t ~eid ~incs ~bpos kernels in
-        let rot =
-          List.concat_map
-            (fun i ->
-              if fused then
-                (* prev <- next2, curr <- next, recycling the two stale
-                   grids as the new write targets *)
-                [
-                  aswap i ("prev", "next2");
-                  aswap i ("curr", "next");
-                  aswap i ("next", "next2");
-                ]
-              else [ aswap i ("prev", "curr"); aswap i ("curr", "next") ])
-            (List.init n Fun.id)
-        in
-        acc := !acc @ ops @ rot
-      done;
-      !acc
+(* The overlapped form of the cached plan over [steps] steps from a block
+   start: what [`Overlap] and [step_overlap_with] run on a fresh
+   simulation, for {!Lift.Lint.check_async}/[verify_async]. *)
+let overlap_plan t kernels ~steps = unrolled (block_of t ~split:true kernels) ~steps
 
-(* The synchronous Multi.plan of [steps] sequential sharded time steps,
-   mirroring what [step] executes under [`Seq]/[`Concurrent]: per-device
-   launches with resolved args, the halo exchange of [next], and the
-   buffer rotation as explicit per-device [Swap] pairs (the runtime path
-   rotates host-side).  For static analysis ([Lift.Lint.verify_plan] via
-   [racs check]). *)
-let step_plan t (kernels : kernel list) ~steps : Vgpu.Multi.plan =
-  match t.backend with
-  | Single _ -> invalid_arg "gpu_sim: step_plan needs a sharded backend"
-  | Sharded s ->
-      check_fused_depth t.backend kernels;
-      let n = Shard.n_shards s.plan in
-      let fused = fused_depth kernels <> None in
-      let acc = ref [] in
-      let push op = acc := op :: !acc in
-      for st = 0 to steps - 1 do
-        for i = 0 to n - 1 do
-          let sh = s.plan.Shard.shards.(i) and ss = s.sstates.(i) in
-          let rt = Vgpu.Multi.device s.multi i in
-          let int_scalar = scalar_int_shard t sh in
-          List.iter
-            (fun k ->
-              let args =
-                args_into rt ~int_scalar ~real_scalar:(scalar_real t)
-                  ~buf:(buffer_shard t sh ss) k
-              in
-              let global = global_size ~int_scalar k in
-              push (Vgpu.Multi.Dev (i, Vgpu.Runtime.Launch { kernel = k; args; global })))
-            kernels
-        done;
-        if fused || st mod s.tblock = s.tblock - 1 then
-          List.iter push
-            (block_exchange_plan s.plan ~tblock:s.tblock ~fused
-               ~has_state:(uses_branch_state kernels));
-        for i = 0 to n - 1 do
-          if fused then begin
-            push (Vgpu.Multi.Dev (i, Vgpu.Runtime.Swap ("prev", "next2")));
-            push (Vgpu.Multi.Dev (i, Vgpu.Runtime.Swap ("curr", "next")));
-            push (Vgpu.Multi.Dev (i, Vgpu.Runtime.Swap ("next", "next2")))
-          end
-          else begin
-            push (Vgpu.Multi.Dev (i, Vgpu.Runtime.Swap ("prev", "curr")));
-            push (Vgpu.Multi.Dev (i, Vgpu.Runtime.Swap ("curr", "next")))
-          end
-        done
-      done;
-      List.rev !acc
+(* The cached plan over [steps] steps from a block start: exactly the ops
+   [step] runs under [`Seq]/[`Concurrent], for {!Lift.Lint.verify_plan}. *)
+let step_plan t kernels ~steps =
+  List.map (fun (o : Vgpu.Multi.async_op) -> o.a_op) (unrolled (block_of t ~split:false kernels) ~steps)
 
 (* Slab geometry of the sharded backend, for the flow verifier. *)
 let slab_geometry t =
@@ -856,19 +682,15 @@ let blocked_stats t (kernels : kernel list) =
   match t.backend with
   | Single _ -> None
   | Sharded s ->
-      let fused = fused_depth kernels <> None in
-      let exs =
-        block_exchange_plan s.plan ~tblock:s.tblock ~fused
-          ~has_state:(uses_branch_state kernels)
-      in
       let elem = match t.precision with Double -> 8 | Single -> 4 in
-      let bytes =
+      let exs, bytes =
         List.fold_left
-          (fun acc op ->
+          (fun (n, b) op ->
             match op with
-            | Vgpu.Multi.Exchange { elems; _ } -> acc + (elems * elem)
-            | _ -> acc)
-          0 exs
+            | Vgpu.Multi.Exchange { elems; _ } -> (n + 1, b + (elems * elem))
+            | Vgpu.Multi.Dev _ -> (n, b))
+          (0, 0)
+          (step_plan t kernels ~steps:s.tblock)
       in
       let redundant = ref 0 in
       Array.iter
@@ -890,7 +712,7 @@ let blocked_stats t (kernels : kernel list) =
       Some
         {
           bs_tblock = s.tblock;
-          bs_exchanges_per_step = float_of_int (List.length exs) /. tb;
+          bs_exchanges_per_step = float_of_int exs /. tb;
           bs_halo_bytes_per_step = float_of_int bytes /. tb;
           bs_redundant_points = !redundant;
         }

@@ -13,7 +13,10 @@
     With [create ~shards:n] the driver runs Z-sharded instead: the grid
     is cut into slabs ({!Shard.plan}), one {!Vgpu.Multi} device per
     slab, with a ghost-plane halo exchange on [next] between the kernel
-    launches and the buffer rotation of every step.  Results are
+    launches and the buffer rotation of every step.  Each kernel list
+    is planned once, as one T-step {!type:block}: the same plan value is
+    executed by {!step} under every schedule and returned by
+    {!step_plan} and {!overlap_plan} for verification.  Results are
     bit-for-bit identical to the single-device engines; the global
     [state] is re-assembled on {!sync}.  The sharded path applies to the
     nbrs-driven kernels (volume + boundary_fi / boundary_fi_mm /
@@ -41,27 +44,33 @@ type engine =
     All three schedules are bit-for-bit identical. *)
 type schedule = [ `Seq | `Concurrent | `Overlap ]
 
+(** One T-step block of the sharded schedule, as {!step} executes it:
+    T per-step segments (see {!step_plan}) and the number of event ids
+    one block signals.  Event ids inside [segments] are block-relative:
+    [0, events) are signalled inside the block, a negative id [e] names
+    the previous block's event [e + events]. *)
+type block = { segments : Vgpu.Multi.async_plan array; events : int }
+
 type backend =
   | Single of Vgpu.Runtime.t  (** one device holding the global arrays *)
   | Sharded of {
       multi : Vgpu.Multi.t;
+          (** one device per shard; every shard buffer is bound by name
+              once, at {!create}, and rotated by the plan's [Swap] ops *)
       plan : Shard.plan;
       sstates : Shard.shard_state array;
+          (** after every step, each field is the same array as the
+              matching device binding *)
       schedule : schedule;
       tblock : int;  (** temporal block depth T = the shards' halo *)
       mutable bpos : int;  (** position within the current block, 0..T-1 *)
       mutable scattered : bool;
           (** the global state has been distributed to the shards *)
-      mutable ov_eid : int;  (** next fresh overlap event id *)
-      mutable ov_inc : (int list * int list) array;
-          (** per device: the previous block's exchange events into its
-              (bottom, top) ghost zone *)
+      mutable blocks : (Kernel_ast.Cast.kernel list * bool * block) list;
+          (** cache: (kernels, overlapped form) -> block plan *)
+      mutable ev_base : int;  (** first event id of the current overlapped block *)
       mutable ov_imports : (int * Vgpu.Queue.event) list;
           (** events exported by the last async submit *)
-      mutable ov_fired : int list;
-          (** fired event ids for deterministic replay *)
-      mutable ranged : (Kernel_ast.Cast.kernel * Kernel_ast.Cast.kernel) list;
-          (** cache: volume kernel -> its ranged-launch variant *)
     }
 
 type t = {
@@ -148,24 +157,15 @@ val pp_stats : Format.formatter -> t -> unit
 
 val step : t -> Kernel_ast.Cast.kernel list -> unit
 (** One time step: run the kernels in order, then rotate the buffers.
-    Sharded: kernels per shard (per the configured {!type:schedule});
-    at a block boundary — every step when [tblock] is 1 — the deep halo
-    exchange of the freshly written ghost zones ([next] at depth T,
-    [curr] at depth T-1 when T > 2, plus the ghost branch-state slices
-    for FD-MM);
-    local rotations every step.  A kernel list containing a fused
-    T-step kernel ({!Programs.blocked_volume} naming convention)
-    advances T generations per call: every call is a whole block and
-    the rotation is the four-buffer fused one.  Under [`Overlap] the
-    step is submitted asynchronously and may still be in flight when
-    [step] returns; any host-side observation ({!sync}, {!read},
+    Sharded: the step's segment of the kernel list's cached block plan
+    (see {!step_plan}), executed under the configured {!type:schedule}
+    — [`Seq] runs it op by op, [`Concurrent] fans each device's
+    launches out over {!Vgpu.Pool.global} between exchange barriers,
+    [`Overlap] submits the overlapped form (see {!overlap_plan}) to the
+    device queues.  Under [`Overlap] the step may still be in flight
+    when [step] returns; any host-side observation ({!sync}, {!read},
     {!stats}, ...) drains the queues first.
-    @raise Invalid_argument if a fused kernel's depth differs from the
-    shards' halo depth. *)
-
-val fused_depth : Kernel_ast.Cast.kernel list -> int option
-(** The fused depth of a kernel sequence (from the [blocked…_t<T>] name
-    convention); [None] for per-step kernel sequences. *)
+    @raise Failure on unknown parameter names. *)
 
 val drain : t -> unit
 (** Wait for all queued async work (no-op on a single device or when the
@@ -177,25 +177,33 @@ val step_overlap_with :
 (** One overlapped time step replayed deterministically on the calling
     domain: the same event graph as [`Overlap], executed in the legal
     queue interleaving chosen by [pick] (see
-    {!Vgpu.Multi.run_async_with}); works under [~sanitize:true].  Do not
-    mix with [`Overlap] steps on the same simulation. *)
+    {!Vgpu.Multi.run_async_with}); works under [~sanitize:true].  It
+    runs the overlapped form of the cached block plan (the segments of
+    {!overlap_plan}) whatever the configured schedule.  Do not mix with
+    [`Overlap] steps on the same simulation. *)
 
 val overlap_plan :
   t -> Kernel_ast.Cast.kernel list -> steps:int -> Vgpu.Multi.async_plan
-(** The async plan of [steps] overlapped time steps, for static analysis
-    ({!Lift.Lint.check_async} via [racs check]).  Buffer rotation
-    appears as explicit per-device [Swap] pairs so the linter can track
-    buffer identities across steps.  Event ids start at 0: build on a
-    dedicated simulation, not mid-run.
+(** The overlapped form of the cached block plan, unrolled over [steps]
+    time steps from a block start with event ids numbered from 0 — what
+    [`Overlap] and {!step_overlap_with} execute on a fresh simulation.
+    Each splittable volume kernel becomes interior + frontier launches
+    at a block start, the frontiers waiting on the previous block's
+    exchange events; the rotation is per-device [Swap] ops.  For static
+    analysis ({!Lift.Lint.check_async}, {!Lift.Lint.verify_async} via
+    [racs check]).  Pure: it neither binds buffers nor steps.
     @raise Invalid_argument on a single-device backend. *)
 
 val step_plan :
   t -> Kernel_ast.Cast.kernel list -> steps:int -> Vgpu.Multi.plan
-(** The synchronous plan of [steps] sequential sharded time steps,
-    mirroring what {!step} executes under [`Seq]/[`Concurrent]:
-    per-device launches with resolved arguments, the halo exchange of
-    [next], and the buffer rotation as explicit per-device [Swap] pairs.
-    For static analysis ({!Lift.Lint.verify_plan} via [racs check]).
+(** The cached block plan, unrolled over [steps] time steps from a block
+    start: exactly the ops {!step} runs under [`Seq]/[`Concurrent] —
+    per-device launches on buffer names, the block's halo exchanges
+    ([next] at depth T, [curr] at depth T-1 when T > 2, plus the ghost
+    branch-state slices for FD-MM when T > 1), and the rotation as
+    per-device [Swap] ops.  For static analysis
+    ({!Lift.Lint.verify_plan} via [racs check]).  Pure: it neither binds
+    buffers nor steps.
     @raise Invalid_argument on a single-device backend. *)
 
 val slab_geometry : t -> int * int * int array
@@ -233,9 +241,8 @@ type blocked_stats = {
 }
 
 val blocked_stats : t -> Kernel_ast.Cast.kernel list -> blocked_stats option
-(** The temporal-blocking cost profile of this simulation's block
-    exchange plan for the given kernel sequence; [None] on a single
-    device. *)
+(** The temporal-blocking cost profile of the exchanges in the kernel
+    sequence's cached block plan; [None] on a single device. *)
 
 val sync : t -> unit
 (** Gather the sharded slabs back into [state] (no-op on a single

@@ -42,6 +42,15 @@ external launch_packet : packet -> unit = "racs_native_launch"
 
 (* {2 Toolchain configuration} *)
 
+(* A misconfigured toolchain or cache directory: the environment
+   variable to fix and a one-line message saying how. *)
+exception Toolchain_error of { var : string; message : string }
+
+let () =
+  Printexc.register_printer (function
+    | Toolchain_error { message; _ } -> Some ("Vgpu.Native.Toolchain_error: " ^ message)
+    | _ -> None)
+
 let cc () = match Sys.getenv_opt "RACS_CC" with Some c when c <> "" -> c | _ -> "cc"
 
 (* -fno-fast-math -ffp-contract=off: no FMA contraction or reassociation,
@@ -64,30 +73,40 @@ let mkdirs dir =
   in
   go dir
 
+let toolchain_error var fmt =
+  Printf.ksprintf (fun message -> raise (Toolchain_error { var; message })) fmt
+
+let cache_error dir e =
+  let reason =
+    match e with
+    | Unix.Unix_error (err, _, _) -> Unix.error_message err
+    | Sys_error reason -> reason
+    | e -> raise e
+  in
+  toolchain_error "RACS_CACHE_DIR"
+    "cannot use the native cache directory %s (%s); set RACS_CACHE_DIR to a writable directory"
+    dir reason
+
+let default_cache_dir () =
+  match Sys.getenv_opt "RACS_CACHE_DIR" with
+  | Some d when d <> "" -> d
+  | _ -> (
+      match Sys.getenv_opt "XDG_CACHE_HOME" with
+      | Some x when x <> "" -> Filename.concat x "racs/native"
+      | _ -> (
+          match Sys.getenv_opt "HOME" with
+          | Some h when h <> "" -> Filename.concat h ".cache/racs/native"
+          | _ -> Filename.concat (Filename.get_temp_dir_name ()) "racs-native"))
+
 let cache_dir_ref = ref None
+let set_cache_dir d = cache_dir_ref := Some d
 
+(* Created on every use: a bad directory surfaces as a typed error at
+   the compile that needs it. *)
 let cache_dir () =
-  match !cache_dir_ref with
-  | Some d -> d
-  | None ->
-      let d =
-        match Sys.getenv_opt "RACS_CACHE_DIR" with
-        | Some d when d <> "" -> d
-        | _ -> (
-            match Sys.getenv_opt "XDG_CACHE_HOME" with
-            | Some x when x <> "" -> Filename.concat x "racs/native"
-            | _ -> (
-                match Sys.getenv_opt "HOME" with
-                | Some h when h <> "" -> Filename.concat h ".cache/racs/native"
-                | _ -> Filename.concat (Filename.get_temp_dir_name ()) "racs-native"))
-      in
-      mkdirs d;
-      cache_dir_ref := Some d;
-      d
-
-let set_cache_dir d =
-  mkdirs d;
-  cache_dir_ref := Some d
+  let d = match !cache_dir_ref with Some d -> d | None -> default_cache_dir () in
+  (try mkdirs d with e -> cache_error d e);
+  d
 
 (* {2 Counters}
 
@@ -158,7 +177,13 @@ let run_cc ~src_path ~out_path =
     else ""
   in
   if rc <> 0 then
-    failwith (Printf.sprintf "native: C compilation failed (%s, exit %d)\n%s" (cc ()) rc err)
+    toolchain_error "RACS_CC"
+      "C compilation failed (%s, exit %d)%s; set RACS_CC to a working C compiler (and RACS_CFLAGS \
+       to flags it accepts)"
+      (cc ()) rc
+      (match List.filter (fun l -> String.trim l <> "") (String.split_on_char '\n' err) with
+      | l :: _ -> ": " ^ String.trim l
+      | [] -> "")
 
 let write_file path contents =
   let tmp = Printf.sprintf "%s.%d.tmp" path (Unix.getpid ()) in
@@ -191,10 +216,10 @@ let compile_source ~key src =
   let so_path = Filename.concat dir (key ^ ".so") in
   let c_path = Filename.concat dir (key ^ ".c") in
   let build () =
-    write_file c_path src;
+    (try write_file c_path src with e -> cache_error dir e);
     let tmp_so = Printf.sprintf "%s.%d.tmp" so_path (Unix.getpid ()) in
     run_cc ~src_path:c_path ~out_path:tmp_so;
-    Unix.rename tmp_so so_path;
+    (try Unix.rename tmp_so so_path with e -> cache_error dir e);
     Atomic.incr n_compiles;
     dl_open so_path
   in

@@ -15,8 +15,9 @@ val compile : ?noalias:bool -> Kernel_ast.Cast.kernel -> compiled
 (** Render, then load from the memo, the disk cache, or a fresh [cc]
     run, in that order.  [noalias] (default true) renders buffer
     parameters [restrict], proven per launch — see {!launch}.
-    @raise Failure if the C compiler is unavailable or rejects the
-    generated source (the compiler's stderr is included). *)
+    @raise Toolchain_error if the C compiler is unavailable or rejects
+    the generated source (the first line of its stderr is included), or
+    if the cache directory is unusable. *)
 
 val launch : compiled -> args:Args.t list -> global:int list -> unit
 (** Run the full NDRange ([global] padded to 3 dimensions with 1s).
@@ -40,13 +41,22 @@ val cache_key : Kernel_ast.Cast.kernel -> string
 (** Content digest keying the on-disk entry for this kernel under the
     current toolchain configuration. *)
 
+exception Toolchain_error of { var : string; message : string }
+(** The native toolchain or its binary cache is unusable: [var] is the
+    environment variable to fix ([RACS_CC] when the C compiler fails,
+    [RACS_CACHE_DIR] when the cache directory cannot be created or
+    written) and [message] is one line naming it and the fix.  Raised by
+    {!compile} (and {!cache_dir}). *)
+
 val cache_dir : unit -> string
 (** Resolve (and create) the binary cache directory: [RACS_CACHE_DIR],
     else [$XDG_CACHE_HOME/racs/native], else [$HOME/.cache/racs/native],
-    else a temp-dir fallback. *)
+    else a temp-dir fallback.
+    @raise Toolchain_error if the directory cannot be created. *)
 
 val set_cache_dir : string -> unit
-(** Override the cache directory (tests point this at a scratch dir). *)
+(** Override the cache directory (tests point this at a scratch dir);
+    it is created on first use. *)
 
 val cc : unit -> string
 (** C compiler command ([RACS_CC], default [cc]). *)

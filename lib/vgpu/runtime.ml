@@ -283,19 +283,29 @@ let launch_resolved t kernel ~(args : Args.t list) ~global =
       0 args
   in
   if t.verify then verify_launch t kernel ~args ~global;
+  (* look the code up before the clock starts: a cold JIT or cc compile
+     is set-up, not part of this launch's time *)
+  let run =
+    match t.sanitizer with
+    | Some s ->
+        (* checked execution needs the interpreter's access hooks, so the
+           sanitizer overrides the configured engine *)
+        fun () -> Sanitizer.launch s kernel ~args ~global
+    | None -> (
+        match t.engine with
+        | Interp -> fun () -> Exec.launch kernel ~args ~global
+        | Jit ->
+            let c = jit_compiled t kernel in
+            fun () -> Jit.launch c ~args ~global
+        | Jit_parallel { domains } ->
+            let c = jit_compiled t kernel in
+            fun () -> Pool.launch ~domains c ~args ~global
+        | Native ->
+            let c = native_compiled t kernel in
+            fun () -> Native.launch c ~args ~global)
+  in
   let t0 = now () in
-  (match t.sanitizer with
-  | Some s ->
-      (* checked execution needs the interpreter's access hooks, so the
-         sanitizer overrides the configured engine *)
-      Sanitizer.launch s kernel ~args ~global
-  | None -> (
-      match t.engine with
-      | Interp -> Exec.launch kernel ~args ~global
-      | Jit -> Jit.launch (jit_compiled t kernel) ~args ~global
-      | Jit_parallel { domains } ->
-          Pool.launch ~domains (jit_compiled t kernel) ~args ~global
-      | Native -> Native.launch (native_compiled t kernel) ~args ~global));
+  run ();
   let dt = now () -. t0 in
   let s = kstat t kernel.Cast.name in
   (match report with Some _ -> s.k_opt <- report | None -> ());

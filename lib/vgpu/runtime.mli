@@ -160,7 +160,10 @@ val launch_resolved : t -> Kernel_ast.Cast.kernel -> args:Args.t list -> global:
 (** Dispatch a launch whose arguments were already resolved with
     {!resolve_arg}.  Used by the async queue layer so worker domains
     never read the buffer table (host-side rebinding between steps can
-    then proceed while launches are still queued). *)
+    then proceed while launches are still queued).  The kernel's JIT or
+    native code is looked up (compiled on a miss) before the launch
+    clock starts, so a cold compile never lands in the launch's
+    [total_s]/[max_s]. *)
 
 val run_op : t -> op -> unit
 (** @raise Failure if an [Alloc] reuses a binding whose element count or

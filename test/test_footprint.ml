@@ -15,7 +15,14 @@
      reject broken plans with pointed diagnostics: a width-0 exchange
      (halo-too-narrow), a skipped exchange (stale/clobbered halo), a
      dropped frontier wait (unordered-ghost-read), a read of an
-     allocation nothing wrote (uninit-read).
+     allocation nothing wrote (uninit-read), and mutations of the very
+     plan [Gpu_sim.step] runs (a dropped, a narrowed and a hoisted
+     exchange).
+
+   - The executed plan is the verified plan: replaying
+     [Gpu_sim.step_plan] / [overlap_plan] on a fresh simulation lands
+     bit-for-bit on the state [Gpu_sim.step] produces, under every
+     schedule, and the verifier passes that same plan.
 
    - qcheck ties statics to dynamics: on random affine stencils the
      sanitizer's observed access extents fall inside the inferred
@@ -291,6 +298,135 @@ let test_uninit_read_detected () =
   let cs = codes (Lift.Lint.verify_plan slab plan) in
   Alcotest.(check bool) "uninit-read raised" true (List.mem "uninit-read" cs)
 
+(* -- The executed plan is the verified plan --------------------------- *)
+
+(* [step] runs its kernel list's cached block plan, and [step_plan] /
+   [overlap_plan] hand out that very value.  So a fresh simulation that
+   replays the handed-out plan through Multi.run (or run_async_with)
+   must land on exactly the device state of one that called [step], and
+   the verifier must pass the same plan. *)
+
+let state_bufs = [ "g1"; "v1" ]
+
+let exec_sim ?(tblock = 1) ?(schedule = `Seq) ?(precision = Cast.Double) ~shards () =
+  let room = Geometry.build ~n_materials:4 Geometry.Box dims in
+  let sim =
+    Gpu_sim.create ~engine:`Jit ~shards ~schedule ~tblock ~precision ~fi_beta:0.2
+      ~n_branches:3 Params.default room
+  in
+  let cx, cy, cz = State.centre sim.Gpu_sim.state in
+  State.add_impulse sim.Gpu_sim.state ~x:cx ~y:cy ~z:cz;
+  sim
+
+let devices sim =
+  match sim.Gpu_sim.backend with
+  | Gpu_sim.Sharded s -> (s.multi, s.plan, s.sstates)
+  | Gpu_sim.Single _ -> Alcotest.fail "expected a sharded simulation"
+
+(* Per device, the arrays bound as prev, curr, next, g1, v2, v1 — and
+   the shard-state fields that must be those very arrays. *)
+let bound_arrays sim =
+  let m, _, _ = devices sim in
+  List.init (Vgpu.Multi.n_devices m) (fun i ->
+      List.map
+        (fun name ->
+          match Vgpu.Runtime.buffer (Vgpu.Multi.device m i) name with
+          | Vgpu.Buffer.F a -> a
+          | Vgpu.Buffer.I _ -> [||])
+        [ "prev"; "curr"; "next"; "g1"; "v2"; "v1" ])
+
+let state_arrays sim =
+  let _, _, sstates = devices sim in
+  Array.to_list
+    (Array.map
+       (fun (ss : Shard.shard_state) ->
+         Shard.[ ss.prev; ss.curr; ss.next; ss.g1; ss.vel_prev; ss.vel_next ])
+       sstates)
+
+let bits_equal (a : float array) (b : float array) =
+  Array.length a = Array.length b
+  && Array.for_all2 (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)) a b
+
+let qcheck_executed_plan_is_verified =
+  QCheck.Test.make ~name:"step runs exactly the plan the verifier passes" ~count:30
+    QCheck.(
+      quad (int_range 0 2) (int_range 1 4) (int_range 1 3) (pair (int_range 0 2) (int_range 1 7)))
+    (fun (scheme_i, shards, tblock, (sched_i, steps)) ->
+      let precision = if (scheme_i + shards + tblock) mod 2 = 0 then Cast.Double else Cast.Single in
+      let kernels = List.assoc (List.nth [ "fi"; "fi-mm"; "fd-mm" ] scheme_i) (schemes precision) in
+      let schedule = List.nth [ `Seq; `Concurrent; `Overlap ] sched_i in
+      let stepped = exec_sim ~shards ~tblock ~schedule ~precision () in
+      for _ = 1 to steps do
+        Gpu_sim.step stepped kernels;
+        (* a mid-run view of the plan neither binds nor steps *)
+        ignore (Gpu_sim.step_plan stepped kernels ~steps:1);
+        if not (List.for_all2 (List.for_all2 ( == )) (bound_arrays stepped) (state_arrays stepped))
+        then QCheck.Test.fail_report "shard state and device bindings diverged"
+      done;
+      Gpu_sim.drain stepped;
+      let replayed = exec_sim ~shards ~tblock ~schedule ~precision () in
+      let halo = Gpu_sim.tblock replayed and slab = slab_of replayed in
+      let multi, plan, sstates = devices replayed in
+      Shard.scatter plan replayed.Gpu_sim.state sstates;
+      let errors =
+        if schedule = `Overlap then begin
+          let plan = Gpu_sim.overlap_plan replayed kernels ~steps in
+          Vgpu.Multi.run_async_with multi plan;
+          Lift.Lint.verify_async ~halo ~state_bufs slab plan
+        end
+        else begin
+          let plan = Gpu_sim.step_plan replayed kernels ~steps in
+          Vgpu.Multi.run multi plan;
+          Lift.Lint.verify_plan ~halo ~state_bufs slab plan
+        end
+      in
+      if err_codes errors <> [] then
+        QCheck.Test.fail_reportf "verifier errors on the executed plan: %s"
+          (String.concat ", " (err_codes errors));
+      List.for_all2 (List.for_all2 bits_equal) (bound_arrays stepped) (bound_arrays replayed))
+
+(* Mutations of the plan [step] runs are each flagged by the verifier:
+   a dropped exchange, an exchange one plane short, and an exchange
+   moved ahead of the launch that writes its source. *)
+let test_mutated_step_plan_flagged () =
+  let flagged label ~tblock mutate =
+    let sim = exec_sim ~shards:2 ~tblock () in
+    let plan = Gpu_sim.step_plan sim (List.assoc "fi" (schemes Cast.Double)) ~steps:4 in
+    let plane = dims.Geometry.nx * dims.Geometry.ny in
+    (* the first exchange, and the first launch writing its source *)
+    let x, src_dev, src =
+      List.hd
+        (List.filter_map Fun.id
+           (List.mapi
+              (fun i -> function
+                | Vgpu.Multi.Exchange { src_dev; src; _ } -> Some (i, src_dev, src)
+                | Vgpu.Multi.Dev _ -> None)
+              plan))
+    in
+    let writer =
+      List.hd
+        (List.filter_map Fun.id
+           (List.mapi
+              (fun i -> function
+                | Vgpu.Multi.Dev (d, Vgpu.Runtime.Launch { args; _ })
+                  when d = src_dev && List.mem (Vgpu.Runtime.A_buf src) args ->
+                    Some i
+                | _ -> None)
+              plan))
+    in
+    let mutated = List.concat (List.mapi (mutate ~x ~writer ~plane (List.nth plan x)) plan) in
+    Alcotest.(check bool) (label ^ " flagged") true
+      (err_codes (Lift.Lint.verify_plan ~halo:(Gpu_sim.tblock sim) (slab_of sim) mutated) <> [])
+  in
+  flagged "dropped exchange" ~tblock:1 (fun ~x ~writer:_ ~plane:_ _ i op ->
+      if i = x then [] else [ op ]);
+  flagged "exchange one plane short" ~tblock:2 (fun ~x ~writer:_ ~plane _ i op ->
+      match op with
+      | Vgpu.Multi.Exchange e when i = x -> [ Vgpu.Multi.Exchange { e with elems = e.elems - plane } ]
+      | op -> [ op ]);
+  flagged "exchange ahead of its source's writer" ~tblock:1 (fun ~x ~writer ~plane:_ ex i op ->
+      if i = x then [] else if i = writer then [ ex; op ] else [ op ])
+
 (* -- qcheck: statics bound dynamics ----------------------------------- *)
 
 (* Random 3D affine stencils: out[x,y,z] = sum of inp[x+dx, y+dy, z+dz]
@@ -412,6 +548,8 @@ let suite =
     Alcotest.test_case "dropped frontier wait: unordered read" `Quick
       test_dropped_wait_detected;
     Alcotest.test_case "read of unwritten allocation" `Quick test_uninit_read_detected;
+    Alcotest.test_case "mutated step plans flagged" `Quick test_mutated_step_plan_flagged;
+    QCheck_alcotest.to_alcotest qcheck_executed_plan_is_verified;
     QCheck_alcotest.to_alcotest qcheck_footprint_bounds_sanitizer;
     QCheck_alcotest.to_alcotest qcheck_opt_never_widens;
   ]

@@ -270,6 +270,55 @@ let test_cold_then_warm () =
   Alcotest.(check int) "memo run hits memo" 1 memo.Vgpu.Native.c_memo_hits;
   Test_util.check_bits "memo result" (expected_of k) (launch_and_read c3)
 
+(* A cold cc compile is set-up, not launch time: the runtime looks the
+   binary up before it first reads the launch clock.  The fake clock
+   records the compile counter at every read; at the first read the
+   compile must already have happened. *)
+let test_cold_compile_before_clock () =
+  use_scratch_cache ();
+  Vgpu.Native.reset_memo ();
+  let k = unique_kernel () in
+  let before = (Vgpu.Native.counters ()).Vgpu.Native.c_compiles in
+  let reads = ref [] in
+  Vgpu.Runtime.set_clock (fun () ->
+      reads := (Vgpu.Native.counters ()).Vgpu.Native.c_compiles :: !reads;
+      Unix.gettimeofday ());
+  Fun.protect ~finally:Vgpu.Runtime.reset_clock (fun () ->
+      let rt = Vgpu.Runtime.create ~engine:Vgpu.Runtime.Native ~optimize:false () in
+      Vgpu.Runtime.bind rt "out" (Vgpu.Buffer.F (Array.make 8 0.));
+      Vgpu.Runtime.run_op rt
+        (Vgpu.Runtime.Launch { kernel = k; args = [ Vgpu.Runtime.A_buf "out" ]; global = [ 8 ] }));
+  match List.rev !reads with
+  | first :: _ ->
+      Alcotest.(check int) "compiled before the first clock read" (before + 1) first
+  | [] -> Alcotest.fail "the launch never read the clock"
+
+(* A broken toolchain or cache directory raises the one typed error,
+   naming the variable to fix. *)
+let test_toolchain_errors_typed () =
+  use_scratch_cache ();
+  let expect var f =
+    match f () with
+    | (_ : Vgpu.Native.compiled) -> Alcotest.failf "%s: compile succeeded" var
+    | exception Vgpu.Native.Toolchain_error e ->
+        Alcotest.(check string) "variable named" var e.var;
+        Alcotest.(check bool) "message names the variable" true
+          (Test_util.contains e.message var)
+  in
+  let restore_cc = Sys.getenv_opt "RACS_CC" in
+  Unix.putenv "RACS_CC" "/nonexistent";
+  Fun.protect
+    ~finally:(fun () -> Unix.putenv "RACS_CC" (Option.value restore_cc ~default:""))
+    (fun () ->
+      Vgpu.Native.reset_memo ();
+      expect "RACS_CC" (fun () -> Vgpu.Native.compile (unique_kernel ())));
+  Vgpu.Native.set_cache_dir "/proc/nope";
+  Fun.protect
+    ~finally:(fun () -> Vgpu.Native.set_cache_dir (Lazy.force scratch_cache))
+    (fun () ->
+      Vgpu.Native.reset_memo ();
+      expect "RACS_CACHE_DIR" (fun () -> Vgpu.Native.compile (unique_kernel ())))
+
 let test_corrupt_entry_recompiled () =
   use_scratch_cache ();
   let k = unique_kernel () in
@@ -450,7 +499,8 @@ let test_lru_eviction () =
 (* -- Restrict emission and the aliased-launch fallback ---------------- *)
 
 (* The write set behind the qualifiers: volume writes next only, the
-   boundary kernel's indirect scatters still count as writes. *)
+   boundary kernel's indirect scatters still count as writes, and a
+   kernel writing several buffers reports each of them. *)
 let test_written_params () =
   let open Acoustics in
   let w = Kernel_ast.Native_c.written_params (Hand_kernels.volume ~precision:Double) in
@@ -458,11 +508,9 @@ let test_written_params () =
   let wb = Kernel_ast.Native_c.written_params (Hand_kernels.boundary_fi ~precision:Double) in
   Alcotest.(check bool) "boundary scatter counts as a write" true (List.mem "next" wb);
   Alcotest.(check bool) "boundary index array is read-only" false (List.mem "bidx" wb);
-  let wf =
-    Kernel_ast.Native_c.written_params
-      (Lift_acoustics.Programs.blocked_volume ~precision:Double ~tblock:2 ())
-  in
-  Alcotest.(check (list string)) "fused kernel writes both generations" [ "next"; "next2" ] wf
+  let wm = Kernel_ast.Native_c.written_params (Hand_kernels.boundary_fd_mm ~precision:Double ~mb:3) in
+  Alcotest.(check (list string)) "FD-MM boundary writes the grid and its branch state"
+    [ "next"; "g1"; "v1" ] wm
 
 let test_restrict_qualifiers () =
   let open Acoustics in
@@ -538,6 +586,10 @@ let suite =
       test_aliased_launch_falls_back;
     QCheck_alcotest.to_alcotest qcheck_signed_moddiv;
     Alcotest.test_case "cold compile, warm disk hit, memo hit" `Quick test_cold_then_warm;
+    Alcotest.test_case "cold compile lands before the launch clock" `Quick
+      test_cold_compile_before_clock;
+    Alcotest.test_case "toolchain and cache failures raise a typed error" `Quick
+      test_toolchain_errors_typed;
     Alcotest.test_case "corrupted cache entry is recompiled" `Quick
       test_corrupt_entry_recompiled;
     Alcotest.test_case "optimization changes the cache key" `Quick
