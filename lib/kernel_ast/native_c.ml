@@ -25,7 +25,15 @@
    parameters split by kind — real buffers as [double*], int buffers as
    [int64_t*], scalars in two flat arrays — plus the NDRange sizes.
    The work-item loops live inside the entry, row-major z/y/x exactly
-   like [Exec.launch]/[Jit.run_range]. *)
+   like [Exec.launch]/[Jit.run_range].
+
+   Buffers are the OCaml arrays themselves, passed in place.  A float
+   array is a flat double vector; an int array is a flat vector of
+   tagged words [(n << 1) | 1].  So a load from a global int buffer
+   untags ([b[i] >> 1], as [Long_val]) and a store tags through
+   [uint64_t] ([Val_long]'s 63-bit wraparound, with no signed-shift
+   overflow).  Private, local and scalar ints are plain untagged
+   [int64_t]. *)
 
 open Cast
 
@@ -268,6 +276,13 @@ let rec emit env buf ~prec (e : expr) =
           add (Printf.sprintf "[rk_l * %dLL + " n);
           as_int_prec env buf ~prec:10 i;
           add "]"
+      | Some (S_gbuf Int) ->
+          (* a tagged OCaml int, untagged like [Long_val] *)
+          add "(";
+          add (mangle b);
+          add "[";
+          as_int env buf i;
+          add "] >> 1)"
       | _ ->
           add (mangle b);
           add "[";
@@ -461,7 +476,11 @@ let rec emit_stmt env buf ~indent ~round_store (s : stmt) =
       in
       let rhs =
         match Hashtbl.find_opt env.slots b with
-        | Some (S_gbuf Int | S_parr (Int, _) | S_larr (Int, _)) -> as_int_c env e
+        | Some (S_gbuf Int) ->
+            (* tag like [Val_long]: the unsigned shift wraps at 63 bits
+               exactly as OCaml ints do *)
+            Printf.sprintf "(int64_t)(((uint64_t)(%s) << 1) | 1)" (as_int_c env e)
+        | Some (S_parr (Int, _) | S_larr (Int, _)) -> as_int_c env e
         | Some (S_gbuf Real) when round_store ->
             (* single precision: round on store to a global real buffer,
                always through double first so an int value takes the

@@ -17,7 +17,9 @@ val entry_symbol : string
                             const int64_t *gsz)]
     — real buffers, int buffers, int scalars, real scalars (each indexed
     by the slots of {!bindings}), and the three NDRange sizes (missing
-    dimensions padded with 1). *)
+    dimensions padded with 1).  Buffers are OCaml arrays in place: an
+    int buffer holds tagged words [(n << 1) | 1], which the kernel
+    untags on load and tags on store; int scalars arrive untagged. *)
 
 type binding =
   | Arg_fbuf of int  (** real buffer -> [fb[slot]] *)

@@ -32,6 +32,10 @@ val launch : compiled -> args:Args.t list -> global:int list -> unit
     entry) so the restrict promise is never broken; alias-free launches
     — every launch the simulation runtimes issue — keep the qualified
     fast path.
+
+    Buffers are passed in place: the kernel reads and writes the OCaml
+    arrays themselves, so one array bound to two parameters is one
+    array in the kernel too.
     @raise Invalid_argument on an argument count or kind mismatch. *)
 
 val source : ?noalias:bool -> Kernel_ast.Cast.kernel -> string

@@ -100,10 +100,7 @@ let test_torture () =
   conform ~name:"torture"
     {
       c_kernel = (fun precision -> Test_native.torture_kernel ~precision);
-      c_args =
-        (fun () ->
-          let _, _, args = Test_native.torture_args () in
-          args);
+      c_args = (fun () -> snd (Test_native.torture_args ()));
       c_global = [ Test_native.n ];
     }
 

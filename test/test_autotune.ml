@@ -141,11 +141,12 @@ let test_calibration_roundtrip () =
 
 (* -- The search ------------------------------------------------------- *)
 
+(* One microsecond per read.  The runtimes read the clock from pool
+   domains too, so the tick counter is atomic: every read gets its own
+   tick and an interval's length is the number of reads inside it. *)
 let fake_clock () =
-  let t = ref 0. in
-  fun () ->
-    t := !t +. 1e-6;
-    !t
+  let ticks = Atomic.make 0 in
+  fun () -> float_of_int (Atomic.fetch_and_add ticks 1 + 1) *. 1e-6
 
 let small_dims = Geometry.dims ~nx:10 ~ny:8 ~nz:7
 

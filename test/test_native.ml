@@ -2,9 +2,9 @@
 
    Kernel-level: a synthetic kernel exercising every AST feature (loops,
    conditionals, private arrays, builtins, real/int Mod, logic, shifts,
-   single-precision store rounding) runs through interp, JIT and the
-   native backend on identical inputs; every output buffer must match
-   bit-for-bit.  A qcheck property pins integer Div/Mod and real Mod
+   single-precision store rounding, int extremes and 63-bit wraparound)
+   runs through interp, JIT and the native backend on identical inputs;
+   every output buffer must match bit-for-bit.  A qcheck property pins integer Div/Mod and real Mod
    semantics over signed operands across the three engines (C truncates
    toward zero, like OCaml; real Mod is fmod = Float.rem).
 
@@ -43,6 +43,7 @@ let torture_kernel ~precision =
         param "src" Real;
         param "iout" Int;
         param "isrc" Int;
+        param "iwrap" Int;
         param ~kind:Scalar_param "alpha" Real;
         param ~kind:Scalar_param "shift" Int;
       ];
@@ -92,13 +93,24 @@ let torture_kernel ~precision =
             +: Binop (BAnd, g, Int_lit 3)
             +: Ternary ((g =: Int_lit 0) ||: (g =: Int_lit 63), Int_lit 10, Int_lit 0)
             +: Unop (To_int, Var "acc") );
+        (* 63-bit wraparound: max_int + 1 is min_int, min_int - 1 is max_int *)
+        Store
+          ( "iwrap",
+            g,
+            Load ("isrc", g) +: Ternary (g %: Int_lit 2 =: Int_lit 0, Int_lit 1, Int_lit (-1)) );
       ];
   }
 
+(* The int source opens with the extremes of OCaml's 63-bit ints. *)
+let int_extremes = [| max_int; min_int; -1; 0 |]
+
 let torture_args () =
   let src = Array.init n (fun i -> ((float_of_int i *. 0.7) -. 20.) *. 1.1) in
-  let isrc = Array.init n (fun i -> (i * 13 mod 37) - 18) in
-  let out = Array.make n 0. and iout = Array.make n 0 in
+  let isrc =
+    Array.init n (fun i ->
+        if i < Array.length int_extremes then int_extremes.(i) else (i * 13 mod 37) - 18)
+  in
+  let out = Array.make n 0. and iout = Array.make n 0 and iwrap = Array.make n 0 in
   let args =
     Vgpu.Args.
       [
@@ -106,11 +118,12 @@ let torture_args () =
         Buf (Vgpu.Buffer.F src);
         Buf (Vgpu.Buffer.I iout);
         Buf (Vgpu.Buffer.I isrc);
+        Buf (Vgpu.Buffer.I iwrap);
         Real_arg 0.9;
         Int_arg 3;
       ]
   in
-  (out, iout, args)
+  ((out, iout, iwrap), args)
 
 let engines =
   [
@@ -118,6 +131,17 @@ let engines =
     ("jit", fun k args global -> Vgpu.Jit.launch (Vgpu.Jit.compile k) ~args ~global);
     ("native", fun k args global -> Vgpu.Native.launch (Vgpu.Native.compile k) ~args ~global);
   ]
+
+(* Runs [k] on every engine, each on fresh arguments from [fresh] (the
+   arrays to compare, and the argument list).  The interpreter's result
+   comes first. *)
+let run_engines k ~global fresh =
+  List.map
+    (fun (label, run) ->
+      let result, args = fresh () in
+      run k args global;
+      (label, result))
+    engines
 
 let test_torture_differential () =
   use_scratch_cache ();
@@ -127,24 +151,21 @@ let test_torture_differential () =
         (fun optimize ->
           let k = torture_kernel ~precision in
           let k = if optimize then fst (Kernel_ast.Opt.optimize k) else k in
-          let results =
-            List.map
-              (fun (label, run) ->
-                let out, iout, args = torture_args () in
-                run k args [ n ];
-                (label, out, iout))
-              engines
-          in
-          match results with
-          | (ref_label, ref_out, ref_iout) :: rest ->
+          match run_engines k ~global:[ n ] torture_args with
+          | (ref_label, (ref_out, ref_iout, ref_iwrap)) :: rest ->
+              Alcotest.(check (array int))
+                "wrapped extremes"
+                [| min_int; max_int; 0; -1 |]
+                (Array.sub ref_iwrap 0 (Array.length int_extremes));
               List.iter
-                (fun (label, out, iout) ->
+                (fun (label, (out, iout, iwrap)) ->
                   let msg what =
                     Printf.sprintf "torture %s opt=%b: %s vs %s %s" plabel optimize label
                       ref_label what
                   in
                   Test_util.check_bits (msg "out") ref_out out;
-                  Alcotest.(check (array int)) (msg "iout") ref_iout iout)
+                  Alcotest.(check (array int)) (msg "iout") ref_iout iout;
+                  Alcotest.(check (array int)) (msg "iwrap") ref_iwrap iwrap)
                 rest
           | [] -> assert false)
         [ false; true ])
@@ -576,6 +597,117 @@ let test_aliased_launch_falls_back () =
   let counters = Vgpu.Native.counters () in
   Alcotest.(check int) "memoized fallback, no third compile" 0 counters.Vgpu.Native.c_compiles
 
+(* -- Int buffers in place ------------------------------------------- *)
+
+(* Int buffers reach the compiled kernel as the OCaml arrays themselves,
+   tagged words and all.  Each case runs a kernel on every engine, on
+   fresh int arrays; the arrays must end identical.  Returns the
+   interpreter's arrays. *)
+let check_ints msg k ~global fresh =
+  match run_engines k ~global fresh with
+  | (ref_label, ref_arrs) :: rest ->
+      List.iter
+        (fun (label, arrs) ->
+          let msg = Printf.sprintf "%s: %s vs %s" msg label ref_label in
+          List.iter2 (fun a b -> Alcotest.(check (array int)) msg a b) ref_arrs arrs)
+        rest;
+      ref_arrs
+  | [] -> assert false
+
+let int_kernel name params body =
+  { name; precision = Double; params; global_size = [ Int_lit 4 ]; local_size = []; body }
+
+(* a[i] = b[i] + 1 -- launched with one array as both a and b *)
+let incr_kernel =
+  int_kernel "native_int_incr"
+    [ param "a" Int; param "b" Int ]
+    [ Store ("a", Global_id 0, Load ("b", Global_id 0) +: Int_lit 1) ]
+
+(* One array bound to a written and a read int parameter: the stores
+   must land in it (a per-slot copy would lose them to the read-only
+   copy).  The binding is a hazard, so this runs the no-restrict
+   rendering. *)
+let test_aliased_int_stores_kept () =
+  use_scratch_cache ();
+  let fresh () =
+    let x = [| 10; 20; 30; 40 |] in
+    ([ x ], Vgpu.Args.[ Buf (I x); Buf (I x) ])
+  in
+  match check_ints "aliased a[i] = b[i] + 1" incr_kernel ~global:[ 4 ] fresh with
+  | [ x ] -> Alcotest.(check (array int)) "stores land in the shared array" [| 11; 21; 31; 41 |] x
+  | _ -> assert false
+
+(* An empty int buffer is the shared [||] atom: a kernel that never
+   indexes it runs, and two empty buffers alias each other. *)
+let test_empty_int_buffer () =
+  use_scratch_cache ();
+  let g = Global_id 0 in
+  let k =
+    int_kernel "native_int_empty"
+      [ param "out" Int; param "idx" Int; param ~kind:Scalar_param "n" Int ]
+      [
+        Store ("out", g, g *: Int_lit 10);
+        If (g <: Var "n", [ Store ("out", g, Load ("out", g) +: Load ("idx", g)) ], []);
+      ]
+  in
+  (match
+     check_ints "empty idx" k ~global:[ 4 ] (fun () ->
+         let out = Array.make 4 0 in
+         ([ out ], Vgpu.Args.[ Buf (I out); Buf (I [||]); Int_arg 0 ]))
+   with
+  | [ out ] -> Alcotest.(check (array int)) "out written" [| 0; 10; 20; 30 |] out
+  | _ -> assert false);
+  ignore
+    (check_ints "empty out and idx, empty NDRange" k ~global:[ 0 ] (fun () ->
+         ([ [||] ], Vgpu.Args.[ Buf (I [||]); Buf (I [||]); Int_arg 0 ])))
+
+(* The kernel holds raw pointers into the OCaml heap, so no block may
+   move during a launch.  One domain launches an int-writing kernel on
+   fresh minor-heap arrays and on a major-heap one, while another
+   allocates and forces full majors and compactions; every launch must
+   match the interpreter. *)
+let test_int_launch_under_gc () =
+  use_scratch_cache ();
+  let k =
+    int_kernel "native_int_gc"
+      [ param "out" Int; param "src" Int; param ~kind:Scalar_param "s" Int ]
+      [ Store ("out", Global_id 0, (Load ("src", Global_id 0) *: Int_lit 3) +: Var "s") ]
+  in
+  let c = Vgpu.Native.compile k in
+  let stop = Atomic.make false and rounds = Atomic.make 0 in
+  let churn =
+    Domain.spawn (fun () ->
+        while not (Atomic.get stop) do
+          ignore (Sys.opaque_identity (List.init 10_000 (fun i -> Array.make (1 + (i mod 7)) i)));
+          if Atomic.get rounds mod 2 = 0 then Gc.full_major () else Gc.compact ();
+          Atomic.incr rounds
+        done)
+  in
+  let big = 10_000 in
+  let big_src = Array.init big (fun i -> i - (big / 2)) in
+  let big_out = Array.make big 0 and big_ref = Array.make big 0 in
+  let launch_both ~src ~out ~expect s =
+    let n = Array.length src in
+    let args out = Vgpu.Args.[ Buf (I out); Buf (I src); Int_arg s ] in
+    Vgpu.Exec.launch k ~args:(args expect) ~global:[ n ];
+    Vgpu.Native.launch c ~args:(args out) ~global:[ n ];
+    if out <> expect then Alcotest.failf "launch with s=%d differs from the interpreter" s
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Atomic.set stop true;
+      Domain.join churn)
+    (fun () ->
+      let it = ref 0 in
+      while (!it < 200 || Atomic.get rounds < 2) && !it < 100_000 do
+        incr it;
+        let n = 32 + (!it mod 33) in
+        let src = Array.init n (fun i -> (i * !it) - 500) in
+        launch_both ~src ~out:(Array.make n 0) ~expect:(Array.make n 0) !it;
+        if !it mod 10 = 0 then launch_both ~src:big_src ~out:big_out ~expect:big_ref !it
+      done);
+  Alcotest.(check bool) "the other domain collected meanwhile" true (Atomic.get rounds >= 2)
+
 let suite =
   [
     Alcotest.test_case "torture kernel bit-identical across engines" `Quick
@@ -584,6 +716,11 @@ let suite =
     Alcotest.test_case "restrict/const qualifier emission" `Quick test_restrict_qualifiers;
     Alcotest.test_case "aliased launch falls back to no-restrict" `Quick
       test_aliased_launch_falls_back;
+    Alcotest.test_case "aliased int buffer keeps its stores" `Quick
+      test_aliased_int_stores_kept;
+    Alcotest.test_case "empty int buffer" `Quick test_empty_int_buffer;
+    Alcotest.test_case "int launches while another domain compacts" `Quick
+      test_int_launch_under_gc;
     QCheck_alcotest.to_alcotest qcheck_signed_moddiv;
     Alcotest.test_case "cold compile, warm disk hit, memo hit" `Quick test_cold_then_warm;
     Alcotest.test_case "cold compile lands before the launch clock" `Quick
